@@ -17,12 +17,13 @@
 // DSSOC_SWEEP_FABRIC=proc runs the classic sweep on the fault-isolated
 // process pool instead (exp/proc_pool.hpp): identical tables on a clean
 // run, and a crashing/hanging point is marked "failed" without taking the
-// other 14 down. The warm-prefix modes below stay in-process (they share
-// one engine snapshot by reference).
+// other 14 down.
 //
 // DSSOC_ARRIVALS swaps the Table II periodic traces for any registered
-// arrival process (core/arrivals.hpp) in the classic sweep; the warm-prefix
-// modes below build composite workloads by hand and do not honor it.
+// arrival process (core/arrivals.hpp) in the classic sweep. The warm-prefix
+// modes below run in-process from one shared engine snapshot on composite
+// workloads built by hand, so they reject the process fabric, the journal,
+// fault injection, DSSOC_SCHED and DSSOC_ARRIVALS instead of ignoring them.
 //
 // DSSOC_SWEEP_MODE selects how points are executed (see EXPERIMENTS.md):
 //   unset/""  — classic sweep: every point emulated cold from time zero.
@@ -75,8 +76,18 @@ int main() {
     }
     run = exp::run_sweep(points, env);
   } else {
-    const exp::SweepRunner runner;
+    DSSOC_REQUIRE(env.fabric == "inproc" && env.journal_path.empty() &&
+                      !env.resume &&
+                      env.pool.fault.kind == exp::FaultPlan::Kind::kNone &&
+                      env.scheduler_override.empty() &&
+                      env.arrivals_override.empty(),
+                  "DSSOC_SWEEP_MODE=cold|fork runs in-process from a shared "
+                  "snapshot: it takes no DSSOC_SWEEP_FABRIC=proc, "
+                  "DSSOC_SWEEP_JOURNAL/RESUME, DSSOC_FAULT_INJECT, "
+                  "DSSOC_SCHED or DSSOC_ARRIVALS");
+    const exp::SweepRunner runner(env.threads);
     run.meta = exp::SweepArtifactMeta::detect();
+    run.bench_json_path = env.bench_json_path;
     run.execution.width = runner.threads();
     Stopwatch watch;
     // Warm-prefix flow: per policy, one shared warm-up frame (the lowest

@@ -4,10 +4,9 @@
 // Paper values (ZCU102): range detection 0.32 ms / 6 tasks, pulse Doppler
 // 5.60 ms / 770 tasks, WiFi TX 0.13 ms / 7 tasks, WiFi RX 2.22 ms / 9 tasks.
 //
-// The four standalone emulations run as one SweepRunner sweep.
+// The four standalone emulations run as one exp::run_sweep sweep.
 #include "bench/harness.hpp"
-#include "exp/bench_json.hpp"
-#include "exp/sweep.hpp"
+#include "exp/sweep_env.hpp"
 
 int main() {
   using namespace dssoc;
@@ -34,16 +33,20 @@ int main() {
     points.push_back(std::move(point));
   }
 
-  const exp::SweepRunner runner;
-  Stopwatch watch;
-  const std::vector<exp::SweepResult> results = runner.run(points);
-  const double total_wall_ms = sim_to_ms(watch.elapsed());
+  exp::SweepRun run = exp::run_sweep(points, exp::SweepEnv::from_env());
+  const std::vector<exp::SweepResult>& results = run.execution.results;
 
   trace::Table table({"Application", "Exec time (ms)", "Paper (ms)",
                       "Task count", "Paper tasks"});
   std::size_t i = 0;
   for (const PaperRow& row : rows) {
-    const core::EmulationStats& stats = results[i++].stats;
+    const exp::SweepResult& result = results[i++];
+    if (result.status == exp::PointStatus::kFailed) {
+      table.add_row({row.app, "failed", format_double(row.paper_ms, 2),
+                     "failed", std::to_string(row.paper_tasks)});
+      continue;
+    }
+    const core::EmulationStats& stats = result.stats;
     table.add_row({row.app, format_double(stats.makespan_ms(), 3),
                    format_double(row.paper_ms, 2),
                    std::to_string(stats.tasks.size()),
@@ -53,7 +56,5 @@ int main() {
   std::cout << "Table I — application execution time and task count on "
                "3 cores + 2 FFT accelerators (FRFS)\n\n"
             << table.render() << '\n';
-  exp::maybe_write_bench_json("bench_table1", runner.threads(), total_wall_ms,
-                              results);
-  return 0;
+  return run.finish("bench_table1");
 }

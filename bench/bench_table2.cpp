@@ -1,11 +1,10 @@
 // Table II reproduction: application instance counts used for the
 // performance-mode injection rates (100 ms frame, probability 1), plus the
 // measured execution time of each row's workload on the paper's 3C+2F
-// configuration under FRFS — the five emulations run as one SweepRunner
+// configuration under FRFS — the five emulations run as one exp::run_sweep
 // sweep.
 #include "bench/harness.hpp"
-#include "exp/bench_json.hpp"
-#include "exp/sweep.hpp"
+#include "exp/sweep_env.hpp"
 
 int main() {
   using namespace dssoc;
@@ -23,10 +22,8 @@ int main() {
     points.push_back(std::move(point));
   }
 
-  const exp::SweepRunner runner;
-  Stopwatch watch;
-  const std::vector<exp::SweepResult> results = runner.run(points);
-  const double total_wall_ms = sim_to_ms(watch.elapsed());
+  exp::SweepRun run = exp::run_sweep(points, exp::SweepEnv::from_env());
+  const std::vector<exp::SweepResult>& results = run.execution.results;
 
   trace::Table table({"Rate (jobs/ms)", "Pulse Doppler", "Range Detection",
                       "WiFi TX", "WiFi RX", "Total", "Measured rate",
@@ -43,7 +40,9 @@ int main() {
          std::to_string(counts.at("wifi_rx")),
          std::to_string(workload.size()),
          format_double(workload.offered_rate_per_ms(frame), 2),
-         format_double(results[i].stats.makespan_sec(), 3)});
+         results[i].status == exp::PointStatus::kFailed
+             ? "failed"
+             : format_double(results[i].stats.makespan_sec(), 3)});
   }
 
   std::cout << "Table II — instance counts per injection rate "
@@ -52,7 +51,5 @@ int main() {
             << table.render() << '\n';
   std::cout << "Paper rows: 8/123/20/20, 10/164/27/27, 15/245/41/41, "
                "18/329/55/55, 32/495/82/83\n";
-  exp::maybe_write_bench_json("bench_table2", runner.threads(), total_wall_ms,
-                              results);
-  return 0;
+  return run.finish("bench_table2");
 }

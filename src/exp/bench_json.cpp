@@ -1,35 +1,17 @@
 #include "exp/bench_json.hpp"
 
-#include <cstdlib>
-#include <iostream>
-
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "core/app_instance.hpp"
 
 namespace dssoc::exp {
 
 SweepArtifactMeta SweepArtifactMeta::detect() {
   SweepArtifactMeta meta;
-  const char* env = std::getenv("DSSOC_POOL_DISABLE");
-  meta.pool_enabled = !(env != nullptr && std::string(env) == "1");
+  meta.pool_enabled = !core::AppInstancePool{}.disabled();
   meta.spin_fast_forward = core::EmulationOptions{}.spin_fast_forward;
   return meta;
-}
-
-void SweepArtifactMeta::apply(const SweepExecution& execution) {
-  fabric = execution.fabric;
-  worker_respawns = execution.worker_respawns;
-  resumed = execution.resumed;
-  journal_points_reused = execution.journal_points_reused;
-  interrupted_signal = execution.interrupted_signal;
-}
-
-json::Value sweep_to_json(const std::string& bench_name, int threads,
-                          double total_wall_ms,
-                          const std::vector<SweepResult>& results) {
-  return sweep_to_json(bench_name, threads, total_wall_ms, results,
-                       SweepArtifactMeta::detect());
 }
 
 json::Value sweep_to_json(const std::string& bench_name, int threads,
@@ -122,33 +104,6 @@ json::Value sweep_to_json(const std::string& bench_name, int threads,
 
 void write_json_file(const std::string& path, const json::Value& doc) {
   write_file_atomic(path, doc.dump_pretty() + '\n');
-}
-
-std::string bench_json_path_from_env() {
-  const char* env = std::getenv("DSSOC_BENCH_JSON");
-  return env != nullptr ? std::string(env) : std::string();
-}
-
-void maybe_write_bench_json(const std::string& bench_name, int threads,
-                            double total_wall_ms,
-                            const std::vector<SweepResult>& results) {
-  maybe_write_bench_json(bench_name, threads, total_wall_ms, results,
-                         SweepArtifactMeta::detect());
-}
-
-void maybe_write_bench_json(const std::string& bench_name, int threads,
-                            double total_wall_ms,
-                            const std::vector<SweepResult>& results,
-                            const SweepArtifactMeta& meta) {
-  const std::string path = bench_json_path_from_env();
-  if (path.empty()) {
-    return;
-  }
-  write_json_file(
-      path, sweep_to_json(bench_name, threads, total_wall_ms, results, meta));
-  std::cout << "[sweep] wrote " << path << " (" << results.size()
-            << " points, " << threads << " threads, " << meta.sweep_mode
-            << " mode)\n";
 }
 
 }  // namespace dssoc::exp

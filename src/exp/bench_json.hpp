@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/proc_pool.hpp"
 #include "exp/sweep.hpp"
 #include "json/json.hpp"
 
@@ -38,12 +37,9 @@ struct SweepArtifactMeta {
   /// nonzero value marks the artifact as *partial* (schema 4).
   int interrupted_signal = 0;
 
-  /// Environment-derived defaults (pool flag from DSSOC_POOL_DISABLE).
+  /// Defaults for this process: the pool flag as core::AppInstancePool sees
+  /// it (DSSOC_POOL_DISABLE) and the fast-forward option's default.
   static SweepArtifactMeta detect();
-
-  /// Copies a sweep execution's fabric + durability fields into the meta —
-  /// what every run_sweep()-based driver stamps before writing the artifact.
-  void apply(const SweepExecution& execution);
 };
 
 /// Builds the artifact document (schema_version 5):
@@ -87,31 +83,10 @@ json::Value sweep_to_json(const std::string& bench_name, int threads,
                           const std::vector<SweepResult>& results,
                           const SweepArtifactMeta& meta);
 
-/// Schema-5 document with environment-detected meta (cold in-process sweep).
-json::Value sweep_to_json(const std::string& bench_name, int threads,
-                          double total_wall_ms,
-                          const std::vector<SweepResult>& results);
-
 /// Writes `doc` pretty-printed to `path` — atomically (temp + fsync +
 /// rename, common/atomic_file.hpp), so a driver dying mid-write can never
 /// leave a torn artifact where a good one stood. Throws DssocError on I/O
 /// failure.
 void write_json_file(const std::string& path, const json::Value& doc);
-
-/// The artifact destination from the DSSOC_BENCH_JSON environment variable;
-/// empty string when unset (no artifact requested).
-std::string bench_json_path_from_env();
-
-/// Convenience used by the experiment drivers: when DSSOC_BENCH_JSON is set,
-/// writes the artifact there and prints a one-line note to stdout.
-void maybe_write_bench_json(const std::string& bench_name, int threads,
-                            double total_wall_ms,
-                            const std::vector<SweepResult>& results);
-
-/// Same, with explicit artifact meta (fork-mode drivers).
-void maybe_write_bench_json(const std::string& bench_name, int threads,
-                            double total_wall_ms,
-                            const std::vector<SweepResult>& results,
-                            const SweepArtifactMeta& meta);
 
 }  // namespace dssoc::exp

@@ -8,18 +8,15 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <iostream>
-#include <optional>
 #include <thread>
 
 #include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "exp/journal.hpp"
 #include "exp/wire.hpp"
 
 namespace dssoc::exp {
@@ -33,28 +30,13 @@ double ms_until(Clock::time_point when, Clock::time_point now) {
 }
 
 Clock::time_point after_ms(Clock::time_point from, double ms) {
+  // Saturates: the options are caller input, and a delay past the clock's
+  // range (~292 years in ns) would overflow its integer representation.
+  if (!(ms < 1e12)) {
+    return Clock::time_point::max();
+  }
   return from + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double, std::milli>(ms));
-}
-
-int env_int(const char* name, int fallback, int min_value) {
-  if (const char* env = std::getenv(name)) {
-    const int parsed = std::atoi(env);
-    if (parsed >= min_value) {
-      return parsed;
-    }
-  }
-  return fallback;
-}
-
-double env_ms(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double parsed = std::atof(env);
-    if (parsed >= 0.0) {
-      return parsed;
-    }
-  }
-  return fallback;
 }
 
 std::string describe_exit(int status) {
@@ -341,33 +323,11 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   return plan;
 }
 
-FaultPlan FaultPlan::from_env() {
-  const char* env = std::getenv("DSSOC_FAULT_INJECT");
-  return parse(env != nullptr ? env : "");
-}
-
-// --- options ----------------------------------------------------------------
-
-ProcessPoolOptions ProcessPoolOptions::from_env() {
-  ProcessPoolOptions options;
-  options.workers = env_int("DSSOC_SWEEP_PROCS", 0, 1);
-  options.max_retries = env_int("DSSOC_SWEEP_RETRIES", options.max_retries, 0);
-  options.timeout_ms = env_ms("DSSOC_SWEEP_TIMEOUT_MS", options.timeout_ms);
-  options.backoff_ms = env_ms("DSSOC_SWEEP_BACKOFF_MS", options.backoff_ms);
-  return options;
-}
-
 // --- ProcessPool ------------------------------------------------------------
 
-ProcessPool::ProcessPool(ProcessPoolOptions options)
+ProcessPool::ProcessPool(int workers, ProcessPoolOptions options)
     : options_(options),
-      workers_(options.workers > 0
-                   ? options.workers
-                   : SweepRunner::resolve_threads(0)) {}
-
-bool ProcessPool::available() noexcept {
-  return true;  // POSIX fork + pipes; the runtime fallback is startup-time
-}
+      workers_(SweepRunner::resolve_threads(workers)) {}
 
 std::vector<SweepResult> ProcessPool::run(
     const std::vector<SweepPoint>& points, const ResultCallback& on_result) {
@@ -379,9 +339,7 @@ std::vector<SweepResult> ProcessPool::run(
   if (points.empty()) {
     return results;
   }
-  // Validate the fault spec in the supervisor, before any fork: a malformed
-  // spec is a usage error and should fail the run loudly, not kill workers.
-  const FaultPlan fault = FaultPlan::from_env();
+  const FaultPlan& fault = options_.fault;
 
   const int worker_count =
       static_cast<int>(std::min<std::size_t>(
@@ -504,8 +462,9 @@ std::vector<SweepResult> ProcessPool::run(
       return;
     }
     ++accounting_.points_retried;
-    const double delay =
-        options_.backoff_ms * static_cast<double>(1 << (attempt - 1));
+    // ldexp, not 1 << (attempt - 1): max_retries is caller input, and an
+    // int shift by 32 or more is undefined.
+    const double delay = std::ldexp(options_.backoff_ms, attempt - 1);
     pending.push_back(
         PendingPoint{index, attempt + 1, after_ms(Clock::now(), delay)});
   };
@@ -761,217 +720,6 @@ std::vector<SweepResult> ProcessPool::run(
   }
   shutdown(/*force=*/false);
   return results;
-}
-
-// --- fabric selection -------------------------------------------------------
-
-std::vector<const SweepResult*> SweepExecution::failed() const {
-  std::vector<const SweepResult*> out;
-  for (const SweepResult& result : results) {
-    if (result.status == PointStatus::kFailed) {
-      out.push_back(&result);
-    }
-  }
-  return out;
-}
-
-std::string failure_summary(const std::vector<SweepResult>& results) {
-  std::size_t failed = 0;
-  for (const SweepResult& result : results) {
-    failed += result.status == PointStatus::kFailed ? 1u : 0u;
-  }
-  if (failed == 0) {
-    return std::string();
-  }
-  std::string out =
-      cat("[sweep] ", failed, " of ", results.size(),
-          " point(s) failed and are excluded from the tables:\n");
-  for (const SweepResult& result : results) {
-    if (result.status == PointStatus::kFailed) {
-      out += cat("  - ", result.error, "\n");
-    }
-  }
-  return out;
-}
-
-std::string sweep_fabric_from_env() {
-  const char* env = std::getenv("DSSOC_SWEEP_FABRIC");
-  const std::string value = env != nullptr ? env : "";
-  if (value.empty() || value == "off" || value == "inproc") {
-    return "inproc";
-  }
-  if (value == "proc") {
-    return "proc";
-  }
-  throw DssocError(
-      cat("DSSOC_SWEEP_FABRIC must be unset, \"off\", \"inproc\" or "
-          "\"proc\", got \"",
-          value, "\""));
-}
-
-std::string resume_summary(const SweepExecution& execution) {
-  if (!execution.resumed && execution.journal_points_reused == 0) {
-    return std::string();
-  }
-  return cat("[sweep] journal resume: ", execution.journal_points_reused,
-             " of ", execution.results.size(),
-             " point(s) replayed from the journal, ",
-             execution.results.size() - execution.journal_points_reused,
-             " executed\n");
-}
-
-namespace {
-
-bool sweep_resume_from_env() {
-  const char* env = std::getenv("DSSOC_SWEEP_RESUME");
-  const std::string value = env != nullptr ? env : "";
-  if (value.empty() || value == "0") {
-    return false;
-  }
-  if (value == "1") {
-    return true;
-  }
-  throw DssocError(
-      cat("DSSOC_SWEEP_RESUME must be unset, \"0\" or \"1\", got \"", value,
-          "\""));
-}
-
-}  // namespace
-
-SweepExecution run_sweep(const std::vector<SweepPoint>& points, int width) {
-  SweepExecution execution;
-
-  const char* journal_path = std::getenv("DSSOC_SWEEP_JOURNAL");
-  const bool resume = sweep_resume_from_env();
-  if (resume && journal_path == nullptr) {
-    throw DssocError(
-        "DSSOC_SWEEP_RESUME=1 needs DSSOC_SWEEP_JOURNAL=path — there is "
-        "no journal to resume from");
-  }
-
-  // Journal setup. Hashes are computed once, up front, outside any per-point
-  // wall-time measurement; without a journal the hot path never hashes.
-  std::optional<SweepJournal> journal;
-  std::vector<std::uint64_t> hashes;
-  if (journal_path != nullptr) {
-    journal.emplace(journal_path);
-    hashes.reserve(points.size());
-    for (const SweepPoint& point : points) {
-      hashes.push_back(point_config_hash(point));
-    }
-  }
-
-  // Resume partition: replay journaled ok records whose config hash still
-  // matches, execute everything else. Failed records never replay.
-  std::vector<SweepResult> replayed(points.size());
-  std::vector<bool> from_journal(points.size(), false);
-  std::vector<std::size_t> todo_map;  // fabric index -> input index
-  std::size_t reused = 0;
-  if (resume) {
-    execution.resumed = journal->recovery().existed;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (const SweepResult* hit = journal->find_ok(hashes[i])) {
-        replayed[i] = *hit;
-        from_journal[i] = true;
-        ++reused;
-      } else {
-        todo_map.push_back(i);
-      }
-    }
-  }
-  execution.journal_points_reused = reused;
-
-  const std::vector<SweepPoint>* run_points = &points;
-  std::vector<SweepPoint> todo_points;
-  if (reused > 0) {
-    todo_points.reserve(todo_map.size());
-    for (const std::size_t index : todo_map) {
-      todo_points.push_back(points[index]);
-    }
-    run_points = &todo_points;
-  }
-
-  // The terminal-result hook: journal the result under its *input*-index
-  // config hash, then (fault injection) kill the supervisor after K
-  // collected results — after the journal append + fsync, so exactly K
-  // results survive the crash.
-  const FaultPlan fault = FaultPlan::from_env();
-  std::size_t collected = 0;  // fabric callbacks are serialized
-  ResultCallback on_result;
-  if (journal.has_value() || fault.kind == FaultPlan::Kind::kKillSup) {
-    on_result = [&](std::size_t fabric_index, const SweepResult& result) {
-      const std::size_t input_index =
-          reused > 0 ? todo_map[fabric_index] : fabric_index;
-      if (journal.has_value()) {
-        SweepResult keyed = result;
-        keyed.config_hash = hashes[input_index];
-        journal->append(hashes[input_index], keyed);
-      }
-      ++collected;
-      if (fault.kind == FaultPlan::Kind::kKillSup &&
-          collected >= fault.point) {
-        // The deterministic mid-sweep supervisor death (killsup@K): flush
-        // whatever stdio buffered, then die without unwinding — exactly
-        // what an OOM-kill or CI timeout would do, minus the flush.
-        std::fflush(nullptr);
-        _exit(43);
-      }
-    };
-  }
-
-  // Run the remaining points on the environment-selected fabric.
-  std::vector<SweepResult> fresh;
-  if (!run_points->empty()) {
-    bool ran = false;
-    if (sweep_fabric_from_env() == "proc" && ProcessPool::available()) {
-      ProcessPoolOptions options = ProcessPoolOptions::from_env();
-      if (width > 0) {
-        options.workers = width;
-      }
-      ProcessPool pool(options);
-      try {
-        fresh = pool.run(*run_points, on_result);
-        execution.fabric = "proc";
-        execution.width = pool.workers();
-        execution.worker_respawns = pool.accounting().worker_respawns;
-        execution.points_failed = pool.accounting().points_failed;
-        execution.interrupted_signal = pool.accounting().interrupted_signal;
-        ran = true;
-      } catch (const FabricUnavailable& e) {
-        std::cerr << "[sweep] process fabric unavailable (" << e.what()
-                  << "); falling back to the in-process runner\n";
-      }
-    }
-    if (!ran) {
-      const SweepRunner runner(width);
-      fresh = runner.run(*run_points, on_result);
-      execution.fabric = "inproc";
-      execution.width = runner.threads();
-    }
-  } else {
-    // Everything replayed: no fabric ran, but stamp which one *would* have
-    // so resumed artifacts stay comparable to their uninterrupted originals.
-    execution.fabric = sweep_fabric_from_env();
-  }
-
-  // Merge: journal replays at their input index, fresh results at theirs.
-  if (reused == 0) {
-    execution.results = std::move(fresh);
-  } else {
-    execution.results.resize(points.size());
-    std::size_t fabric_index = 0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      execution.results[i] = from_journal[i]
-                                 ? std::move(replayed[i])
-                                 : std::move(fresh[fabric_index++]);
-    }
-  }
-  if (journal.has_value()) {
-    for (std::size_t i = 0; i < execution.results.size(); ++i) {
-      execution.results[i].config_hash = hashes[i];
-    }
-  }
-  return execution;
 }
 
 }  // namespace dssoc::exp

@@ -24,18 +24,18 @@
 // worker process runs core::run_virtual with a per-process instance pool,
 // exactly like a SweepRunner worker thread; tests pin the digests equal).
 //
-// Fabric selection: run_sweep() reads DSSOC_SWEEP_FABRIC — unset/"off"/
-// "inproc" runs the in-process SweepRunner, "proc" runs the ProcessPool,
-// falling back to in-process transparently when fork/pipes are unavailable.
+// Fabric selection lives one layer up: exp::run_sweep (exp/sweep_env.hpp)
+// runs this pool when SweepEnv::fabric is "proc", falling back to the
+// in-process SweepRunner when the pool throws FabricUnavailable.
 //
-// Deterministic fault injection (tests, CI): DSSOC_FAULT_INJECT =
+// Deterministic fault injection (tests, CI): a FaultPlan of
 // crash@K | hang@K | garble@K [+ ":N"] makes the worker holding point K
 // crash / hang / corrupt its result frame on the first N attempts (every
 // attempt when ":N" is omitted), exercising each containment path on
-// demand. killsup@K targets the *supervisor* instead: the driver process
-// _exit(43)s after K results have been collected (and journaled, when a
-// journal is attached) — the deterministic mid-sweep crash behind the
-// resume tests and the CI sweep-resume job.
+// demand. killsup@K targets the *supervisor* instead: run_sweep _exit(43)s
+// the driver process after K results have been collected (and journaled,
+// when a journal is attached) — the deterministic mid-sweep crash behind
+// the resume tests and the CI sweep-resume job.
 //
 // Graceful shutdown: run() installs SIGINT/SIGTERM handlers (self-pipe into
 // the poll loop) for its duration. On a signal the supervisor stops
@@ -54,10 +54,10 @@
 
 namespace dssoc::exp {
 
-/// Parsed DSSOC_FAULT_INJECT plan, checked inside the worker loop before a
-/// point runs (crash/hang) or before its result frame is written (garble).
-/// kKillSup is supervisor-side: run_sweep() _exit(43)s the driver process
-/// after K collected results (see file comment).
+/// Parsed fault-injection plan (DSSOC_FAULT_INJECT), checked inside the
+/// worker loop before a point runs (crash/hang) or before its result frame
+/// is written (garble). kKillSup is supervisor-side: run_sweep() _exit(43)s
+/// the driver process after K collected results (see file comment).
 struct FaultPlan {
   enum class Kind { kNone, kCrash, kHang, kGarble, kKillSup };
 
@@ -76,15 +76,11 @@ struct FaultPlan {
   /// "killsup@K" (K >= 1, no ":N"). An empty spec is kNone; anything
   /// malformed throws DssocError.
   static FaultPlan parse(const std::string& spec);
-  /// parse() of DSSOC_FAULT_INJECT (kNone when unset).
-  static FaultPlan from_env();
 };
 
-/// Supervisor tunables; from_env() is what drivers use.
+/// Supervisor tunables. Drivers get them from SweepEnv::from_env()
+/// (exp/sweep_env.hpp), which names the environment variable of each.
 struct ProcessPoolOptions {
-  /// Worker process count; <= 0 resolves DSSOC_SWEEP_PROCS, then the
-  /// SweepRunner thread resolution (DSSOC_SWEEP_THREADS / hardware).
-  int workers = 0;
   /// Retries per point after the first attempt (DSSOC_SWEEP_RETRIES).
   int max_retries = 2;
   /// Per-point wall-clock budget in ms; 0 disables the watchdog
@@ -94,8 +90,9 @@ struct ProcessPoolOptions {
   /// Delay before the first retry of a point, doubling per further retry
   /// (DSSOC_SWEEP_BACKOFF_MS).
   double backoff_ms = 25.0;
-
-  static ProcessPoolOptions from_env();
+  /// Worker-side faults to inject (DSSOC_FAULT_INJECT). The pool ignores
+  /// kKillSup, which run_sweep() handles for both fabrics.
+  FaultPlan fault;
 };
 
 /// Raised when the fabric cannot start at all (fork or pipe creation failed
@@ -121,8 +118,8 @@ class ProcessPool {
     int interrupted_signal = 0;
   };
 
-  explicit ProcessPool(
-      ProcessPoolOptions options = ProcessPoolOptions::from_env());
+  /// `workers` <= 0 sizes the pool to the host (SweepRunner::resolve_threads).
+  explicit ProcessPool(int workers, ProcessPoolOptions options = {});
 
   int workers() const noexcept { return workers_; }
   const Accounting& accounting() const noexcept { return accounting_; }
@@ -130,73 +127,17 @@ class ProcessPool {
   /// Runs every point across the worker processes. Results land at their
   /// point's input index; contained failures surface as
   /// PointStatus::kFailed entries (never exceptions). Throws
-  /// FabricUnavailable only when no worker could be forked at startup, and
-  /// DssocError on a malformed DSSOC_FAULT_INJECT spec. `on_result`
-  /// (optional) fires from the supervisor thread for each terminal ok or
-  /// failed result as it lands — never for points voided by a signal
-  /// interruption (those must re-run on resume).
+  /// FabricUnavailable only when no worker could be forked at startup.
+  /// `on_result` (optional) fires from the supervisor thread for each
+  /// terminal ok or failed result as it lands — never for points voided by
+  /// a signal interruption (those must re-run on resume).
   std::vector<SweepResult> run(const std::vector<SweepPoint>& points,
                                const ResultCallback& on_result = {});
-
-  /// True when the platform supports fork + pipes at all.
-  static bool available() noexcept;
 
  private:
   ProcessPoolOptions options_;
   int workers_;
   Accounting accounting_;
 };
-
-/// One sweep execution's results plus which fabric actually ran it — the
-/// metadata BENCH_sweep.json schema 4 stamps into the artifact.
-struct SweepExecution {
-  std::vector<SweepResult> results;
-  std::string fabric = "inproc";  ///< "inproc" or "proc"
-  int width = 0;                  ///< threads (inproc) or workers (proc)
-  std::size_t worker_respawns = 0;
-  std::size_t points_failed = 0;
-  /// True when DSSOC_SWEEP_RESUME=1 found a pre-existing journal to resume
-  /// from (even one that ended up contributing zero reusable records).
-  bool resumed = false;
-  /// Points replayed from the journal instead of executed.
-  std::size_t journal_points_reused = 0;
-  /// Signal that gracefully stopped the run (0 = ran to completion);
-  /// unresolved points are kFailed with an "interrupted" error.
-  int interrupted_signal = 0;
-
-  /// Labels + reasons of failed points, for driver-side reporting.
-  std::vector<const SweepResult*> failed() const;
-};
-
-/// DSSOC_SWEEP_FABRIC normalized to "inproc" or "proc"; throws DssocError
-/// on any other value.
-std::string sweep_fabric_from_env();
-
-/// Driver-side failure report: one line per failed point (label, reason,
-/// attempts), or the empty string when every point completed. Drivers print
-/// this after their tables so a contained failure is visible without
-/// digging into the JSON artifact.
-std::string failure_summary(const std::vector<SweepResult>& results);
-
-/// Driver-side resume report: one line naming how many points were replayed
-/// from the journal vs. re-executed, or the empty string when no journal
-/// reuse happened.
-std::string resume_summary(const SweepExecution& execution);
-
-/// Runs the sweep on the environment-selected fabric (see file comment).
-/// `width` > 0 pins the thread/worker count. In-process failures still
-/// rethrow (SweepRunner semantics); process-fabric failures are contained
-/// as kFailed results.
-///
-/// Durability (DSSOC_SWEEP_JOURNAL=path): every terminal result is appended
-/// to the journal as it lands, whichever fabric runs. Resume
-/// (DSSOC_SWEEP_RESUME=1, requires the journal): points whose canonical
-/// config hash matches a journaled ok record are replayed from the journal
-/// — bit-identical, source == kJournal — and only the rest execute; the
-/// merged result vector is indistinguishable (per-point digests and table
-/// values) from an uninterrupted run's. Changed or failed points always
-/// re-execute.
-SweepExecution run_sweep(const std::vector<SweepPoint>& points,
-                         int width = 0);
 
 }  // namespace dssoc::exp

@@ -1,7 +1,6 @@
 #include "exp/sweep.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -71,12 +70,6 @@ SweepRunner::SweepRunner(int threads) : threads_(resolve_threads(threads)) {}
 int SweepRunner::resolve_threads(int requested) {
   if (requested > 0) {
     return requested;
-  }
-  if (const char* env = std::getenv("DSSOC_SWEEP_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) {
-      return parsed;
-    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

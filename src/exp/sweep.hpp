@@ -99,8 +99,8 @@ using ResultCallback =
 /// Fans independent emulation points across a std::thread pool.
 class SweepRunner {
  public:
-  /// threads <= 0 resolves the pool size from the DSSOC_SWEEP_THREADS
-  /// environment variable, falling back to std::thread::hardware_concurrency.
+  /// threads <= 0 sizes the pool to std::thread::hardware_concurrency.
+  /// Drivers pass SweepEnv::threads (exp/sweep_env.hpp).
   explicit SweepRunner(int threads = 0);
 
   int threads() const noexcept { return threads_; }
@@ -114,7 +114,7 @@ class SweepRunner {
   std::vector<SweepResult> run(const std::vector<SweepPoint>& points,
                                const ResultCallback& on_result = {}) const;
 
-  /// The pool size `requested` resolves to (env var / hardware fallback),
+  /// The pool size `requested` resolves to (hardware fallback when <= 0),
   /// before capping by point count.
   static int resolve_threads(int requested);
 

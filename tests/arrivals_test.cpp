@@ -520,9 +520,8 @@ TEST(SweepEnvArrivals, OverrideRegeneratesEveryPoint) {
 
 TEST(SweepEnvArrivals, RejectsPointsWithoutAnInjectionWindow) {
   EngineFixture fx;
-  const EnvGuard guard("DSSOC_ARRIVALS");
-  ::setenv("DSSOC_ARRIVALS", "arrivals:poisson:app=wifi_tx,rate_per_ms=1", 1);
-  const SweepEnv env = SweepEnv::from_env();
+  SweepEnv env;
+  env.arrivals_override = "arrivals:poisson:app=wifi_tx,rate_per_ms=1";
   std::vector<SweepPoint> points;
   SweepPoint point;
   point.label = "windowless";
@@ -534,9 +533,8 @@ TEST(SweepEnvArrivals, RejectsPointsWithoutAnInjectionWindow) {
 
 TEST(SweepEnvArrivals, InvalidOverrideFailsBeforeAnyPointRuns) {
   EngineFixture fx;
-  const EnvGuard guard("DSSOC_ARRIVALS");
-  ::setenv("DSSOC_ARRIVALS", "arrivals:nope:x", 1);
-  const SweepEnv env = SweepEnv::from_env();
+  SweepEnv env;
+  env.arrivals_override = "arrivals:nope:x";
   std::vector<SweepPoint> points;
   SweepPoint point;
   point.label = "p";

@@ -16,6 +16,7 @@
 #include "exp/aggregate.hpp"
 #include "exp/bench_json.hpp"
 #include "exp/sweep.hpp"
+#include "exp/sweep_env.hpp"
 #include "platform/platform.hpp"
 
 namespace dssoc::exp {
@@ -136,7 +137,7 @@ TEST(SweepRunner, EmptySweepYieldsEmptyResults) {
 
 TEST(SweepRunner, ThreadResolution) {
   EXPECT_EQ(SweepRunner(3).threads(), 3);
-  EXPECT_GE(SweepRunner(0).threads(), 1);  // env var or hardware fallback
+  EXPECT_GE(SweepRunner(0).threads(), 1);  // hardware fallback
   EXPECT_GE(SweepRunner::resolve_threads(-5), 1);
 }
 
@@ -156,7 +157,8 @@ TEST(BenchJson, DocumentShape) {
       core::make_validation_workload({{"wifi_tx", 1}});
   const std::vector<SweepResult> results =
       SweepRunner(1).run({fx.point("1C+0F", "FRFS", workload)});
-  const json::Value doc = sweep_to_json("unit_test", 2, 12.5, results);
+  const json::Value doc = sweep_to_json("unit_test", 2, 12.5, results,
+                                        SweepArtifactMeta::detect());
   EXPECT_EQ(doc.at("schema_version").as_int(), 5);
   EXPECT_EQ(doc.at("saturated_count").as_int(), 0);
   EXPECT_EQ(doc.at("bench").as_string(), "unit_test");
@@ -218,7 +220,8 @@ TEST(BenchJson, WriteAndParseRoundTrip) {
   const std::vector<SweepResult> results =
       SweepRunner(1).run({fx.point("2C+0F", "FRFS", workload)});
   const std::string path = "exp_test_sweep.json";
-  write_json_file(path, sweep_to_json("roundtrip", 1, 1.0, results));
+  write_json_file(path, sweep_to_json("roundtrip", 1, 1.0, results,
+                                      SweepArtifactMeta::detect()));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
@@ -316,7 +319,8 @@ TEST(SweepRunnerFork, PointSeedStreamsAreThreadCountInvariant) {
   }
   for (const char* threads : {"1", "4", "16"}) {
     ASSERT_EQ(setenv("DSSOC_SWEEP_THREADS", threads, 1), 0);
-    EXPECT_EQ(SweepRunner(0).threads(), std::atoi(threads));
+    EXPECT_EQ(SweepRunner(SweepEnv::from_env().threads).threads(),
+              std::atoi(threads));
     for (std::size_t i = 0; i < 16; ++i) {
       EXPECT_EQ(point_seed(42, i), expected[i]);
     }

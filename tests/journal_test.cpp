@@ -4,8 +4,8 @@
 // magic, version skew, stale hashes), crash-safe resume via the killsup
 // fault, and incremental re-runs when one point's parameters change.
 //
-// Registered SERIAL: the suite drives run_sweep through DSSOC_SWEEP_JOURNAL
-// / DSSOC_SWEEP_RESUME / DSSOC_FAULT_INJECT, which are process-global.
+// The resume tests configure run_sweep through SweepEnv fields; only the
+// DSSOC_SWEEP_RESUME parse test touches the environment.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,8 +20,8 @@
 #include "apps/registry.hpp"
 #include "core/emulation.hpp"
 #include "exp/journal.hpp"
-#include "exp/proc_pool.hpp"
 #include "exp/sweep.hpp"
+#include "exp/sweep_env.hpp"
 #include "platform/platform.hpp"
 
 namespace dssoc::exp {
@@ -30,7 +30,7 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Sets an environment variable for the test's scope, unsetting on
-/// destruction so journal/resume/fault specs never leak across tests.
+/// destruction (the DSSOC_SWEEP_RESUME parse test).
 class EnvGuard {
  public:
   EnvGuard(const char* name, const std::string& value) : name_(name) {
@@ -343,34 +343,41 @@ TEST(Journal, FormatVersionSkewStartsTheJournalOver) {
 
 // --- run_sweep resume -------------------------------------------------------
 
+/// A two-thread in-process sweep, journaled to `journal_path` when non-empty.
+SweepEnv sweep_env(const std::string& journal_path = "", bool resume = false) {
+  SweepEnv env;
+  env.threads = 2;
+  env.journal_path = journal_path;
+  env.resume = resume;
+  return env;
+}
+
 TEST(SweepResume, ResumeWithoutJournalThrows) {
   Fixture fx;
-  const EnvGuard resume("DSSOC_SWEEP_RESUME", "1");
-  EXPECT_THROW(run_sweep(fx.small_sweep(1), 1), DssocError);
+  std::vector<SweepPoint> points = fx.small_sweep(1);
+  EXPECT_THROW(run_sweep(points, sweep_env("", /*resume=*/true)),
+               ConfigError);
 }
 
 TEST(SweepResume, MalformedResumeValueThrows) {
-  Fixture fx;
-  TempFile file("bad_resume_value");
-  const EnvGuard journal("DSSOC_SWEEP_JOURNAL", file.path());
   const EnvGuard resume("DSSOC_SWEEP_RESUME", "yes");
-  EXPECT_THROW(run_sweep(fx.small_sweep(1), 1), DssocError);
+  EXPECT_THROW(SweepEnv::from_env(), ConfigError);
 }
 
 TEST(SweepResume, FullResumeReplaysEveryPointBitIdentically) {
   Fixture fx;
-  const std::vector<SweepPoint> points = fx.small_sweep(5);
-  const SweepExecution clean = run_sweep(points, 2);  // no journal
+  std::vector<SweepPoint> points = fx.small_sweep(5);
+  const SweepExecution clean = run_sweep(points, sweep_env()).execution;
 
   TempFile file("full_resume");
-  const EnvGuard journal_env("DSSOC_SWEEP_JOURNAL", file.path());
-  const SweepExecution first = run_sweep(points, 2);
+  const SweepExecution first =
+      run_sweep(points, sweep_env(file.path())).execution;
   EXPECT_FALSE(first.resumed);
   EXPECT_EQ(first.journal_points_reused, 0u);
   EXPECT_TRUE(resume_summary(first).empty());
 
-  const EnvGuard resume_env("DSSOC_SWEEP_RESUME", "1");
-  const SweepExecution second = run_sweep(points, 2);
+  const SweepExecution second =
+      run_sweep(points, sweep_env(file.path(), /*resume=*/true)).execution;
   EXPECT_TRUE(second.resumed);
   EXPECT_EQ(second.journal_points_reused, points.size());
   ASSERT_EQ(second.results.size(), points.size());
@@ -389,22 +396,16 @@ TEST(SweepResume, ChangingOnePointReRunsOnlyThatPoint) {
   Fixture fx;
   std::vector<SweepPoint> points = fx.small_sweep(5);
   TempFile file("incremental");
-  const EnvGuard journal_env("DSSOC_SWEEP_JOURNAL", file.path());
-  run_sweep(points, 2);
+  run_sweep(points, sweep_env(file.path()));
 
   // Change one point's parameters: its config hash misses, everything else
-  // replays. This is the incremental-sweep contract the ISSUE pins.
+  // replays. This is the incremental-sweep contract.
   points[2].setup.options.seed = 777;
-  const SweepExecution clean_changed = [&] {
-    // Reference digests for the *changed* sweep, without journal effects.
-    unsetenv("DSSOC_SWEEP_JOURNAL");
-    const SweepExecution execution = run_sweep(points, 2);
-    setenv("DSSOC_SWEEP_JOURNAL", file.path().c_str(), 1);
-    return execution;
-  }();
+  // Reference digests for the *changed* sweep, without journal effects.
+  const SweepExecution clean_changed = run_sweep(points, sweep_env()).execution;
 
-  const EnvGuard resume_env("DSSOC_SWEEP_RESUME", "1");
-  const SweepExecution resumed = run_sweep(points, 2);
+  const SweepExecution resumed =
+      run_sweep(points, sweep_env(file.path(), /*resume=*/true)).execution;
   EXPECT_TRUE(resumed.resumed);
   EXPECT_EQ(resumed.journal_points_reused, points.size() - 1);
   ASSERT_EQ(resumed.results.size(), points.size());
@@ -419,7 +420,7 @@ TEST(SweepResume, ChangingOnePointReRunsOnlyThatPoint) {
 
 TEST(SweepResume, FailedJournalRecordsAlwaysReExecute) {
   Fixture fx;
-  const std::vector<SweepPoint> points = fx.small_sweep(3);
+  std::vector<SweepPoint> points = fx.small_sweep(3);
   TempFile file("failed_records");
   {
     // Seed the journal with a *failed* record for point 1: a resume must
@@ -431,9 +432,8 @@ TEST(SweepResume, FailedJournalRecordsAlwaysReExecute) {
     failed.error = "worker crashed (exit code 42)";
     journal.append(point_config_hash(points[1]), failed);
   }
-  const EnvGuard journal_env("DSSOC_SWEEP_JOURNAL", file.path());
-  const EnvGuard resume_env("DSSOC_SWEEP_RESUME", "1");
-  const SweepExecution execution = run_sweep(points, 2);
+  const SweepExecution execution =
+      run_sweep(points, sweep_env(file.path(), /*resume=*/true)).execution;
   EXPECT_TRUE(execution.resumed);
   EXPECT_EQ(execution.journal_points_reused, 0u);
   for (const SweepResult& result : execution.results) {
@@ -445,8 +445,8 @@ TEST(SweepResume, FailedJournalRecordsAlwaysReExecute) {
 TEST(SweepResume, StaleConfigHashRecordsAreIgnored) {
   Fixture fx;
   TempFile file("stale_hashes");
-  const EnvGuard journal_env("DSSOC_SWEEP_JOURNAL", file.path());
-  run_sweep(fx.small_sweep(3), 2);
+  std::vector<SweepPoint> points = fx.small_sweep(3);
+  run_sweep(points, sweep_env(file.path()));
 
   // A *different* sweep against the same journal: every hash misses, every
   // point executes, and the old records just sit there harmlessly.
@@ -454,8 +454,8 @@ TEST(SweepResume, StaleConfigHashRecordsAreIgnored) {
   for (SweepPoint& point : other) {
     point.setup.options.seed = 4242;
   }
-  const EnvGuard resume_env("DSSOC_SWEEP_RESUME", "1");
-  const SweepExecution execution = run_sweep(other, 2);
+  const SweepExecution execution =
+      run_sweep(other, sweep_env(file.path(), /*resume=*/true)).execution;
   EXPECT_TRUE(execution.resumed);
   EXPECT_EQ(execution.journal_points_reused, 0u);
   for (const SweepResult& result : execution.results) {
@@ -468,16 +468,16 @@ TEST(SweepResume, StaleConfigHashRecordsAreIgnored) {
 
 TEST(SweepResume, KillsupMidSweepThenResumeIsBitIdenticalToUninterrupted) {
   Fixture fx;
-  const std::vector<SweepPoint> points = fx.small_sweep(6);
-  const SweepExecution clean = run_sweep(points, 2);  // no journal
+  std::vector<SweepPoint> points = fx.small_sweep(6);
+  const SweepExecution clean = run_sweep(points, sweep_env()).execution;
 
   TempFile file("killsup");
-  const EnvGuard journal_env("DSSOC_SWEEP_JOURNAL", file.path());
   {
     // The supervisor _exit(43)s after 3 results have been journaled —
     // the deterministic stand-in for an OOM-kill or CI timeout.
-    const EnvGuard fault("DSSOC_FAULT_INJECT", "killsup@3");
-    EXPECT_EXIT(run_sweep(points, 2), ::testing::ExitedWithCode(43), "");
+    SweepEnv env = sweep_env(file.path());
+    env.pool.fault = FaultPlan::parse("killsup@3");
+    EXPECT_EXIT(run_sweep(points, env), ::testing::ExitedWithCode(43), "");
   }
   {
     // Exactly 3 records survived the crash (append + fsync precede the
@@ -487,8 +487,8 @@ TEST(SweepResume, KillsupMidSweepThenResumeIsBitIdenticalToUninterrupted) {
     EXPECT_TRUE(journal.recovery().warnings.empty());
   }
 
-  const EnvGuard resume_env("DSSOC_SWEEP_RESUME", "1");
-  const SweepExecution resumed = run_sweep(points, 2);
+  const SweepExecution resumed =
+      run_sweep(points, sweep_env(file.path(), /*resume=*/true)).execution;
   EXPECT_TRUE(resumed.resumed);
   EXPECT_EQ(resumed.journal_points_reused, 3u);
   ASSERT_EQ(resumed.results.size(), points.size());

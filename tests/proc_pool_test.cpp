@@ -2,10 +2,12 @@
 // and its wire protocol (exp/wire.hpp): clean-run bit-identity against the
 // in-process SweepRunner, containment of injected crashes / hangs / garbled
 // frames, retry-then-fail accounting, worker-reported engine errors, fabric
-// selection, and supervisor hygiene (no zombie children, no leaked fds).
+// selection through SweepEnv, SweepEnv::from_env()'s strict parsing, and
+// supervisor hygiene (no zombie children, no leaked fds).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
@@ -15,9 +17,12 @@
 #include <vector>
 
 #include "apps/registry.hpp"
+#include "common/strings.hpp"
 #include "core/emulation.hpp"
+#include "exp/journal.hpp"
 #include "exp/proc_pool.hpp"
 #include "exp/sweep.hpp"
+#include "exp/sweep_env.hpp"
 #include "exp/wire.hpp"
 #include "platform/platform.hpp"
 
@@ -25,7 +30,8 @@ namespace dssoc::exp {
 namespace {
 
 /// Sets an environment variable for the test's scope, restoring (unsetting)
-/// on destruction so fault specs never leak across tests.
+/// on destruction. Only the SweepEnv::from_env() parse tests use it; every
+/// other test configures the sweep through SweepEnv fields.
 class EnvGuard {
  public:
   EnvGuard(const char* name, const std::string& value) : name_(name) {
@@ -38,6 +44,21 @@ class EnvGuard {
  private:
   const char* name_;
 };
+
+/// Unsets every DSSOC_* variable, so a test proves what SweepEnv fields do
+/// on their own.
+void clear_dssoc_environment() {
+  std::vector<std::string> names;
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    const std::string text = *entry;
+    if (starts_with(text, "DSSOC_")) {
+      names.push_back(text.substr(0, text.find('=')));
+    }
+  }
+  for (const std::string& name : names) {
+    unsetenv(name.c_str());
+  }
+}
 
 struct Fixture {
   Fixture() {
@@ -78,11 +99,11 @@ struct Fixture {
   core::ApplicationLibrary library;
 };
 
-ProcessPoolOptions fast_options(int workers, int retries) {
+ProcessPoolOptions fast_options(int retries, const std::string& fault = "") {
   ProcessPoolOptions options;
-  options.workers = workers;
   options.max_retries = retries;
   options.backoff_ms = 1.0;  // keep retry tests fast
+  options.fault = FaultPlan::parse(fault);
   return options;
 }
 
@@ -211,7 +232,7 @@ TEST(ProcessPool, CleanRunIsBitIdenticalToInProcessRunner) {
   const std::vector<SweepPoint> points = fx.small_sweep(6);
   const std::vector<SweepResult> inproc = SweepRunner(2).run(points);
 
-  ProcessPool pool(fast_options(3, 2));
+  ProcessPool pool(3, fast_options(2));
   const std::vector<SweepResult> proc = pool.run(points);
 
   ASSERT_EQ(proc.size(), points.size());
@@ -229,7 +250,7 @@ TEST(ProcessPool, CleanRunIsBitIdenticalToInProcessRunner) {
 }
 
 TEST(ProcessPool, EmptySweepCompletes) {
-  ProcessPool pool(fast_options(2, 0));
+  ProcessPool pool(2, fast_options(0));
   EXPECT_TRUE(pool.run({}).empty());
 }
 
@@ -240,8 +261,7 @@ TEST(ProcessPool, CrashedPointIsContainedAndOthersComplete) {
   const std::vector<SweepPoint> points = fx.small_sweep(6);
   const std::vector<SweepResult> clean = SweepRunner(2).run(points);
 
-  const EnvGuard fault("DSSOC_FAULT_INJECT", "crash@2");
-  ProcessPool pool(fast_options(2, 2));
+  ProcessPool pool(2, fast_options(2, "crash@2"));
   const std::vector<SweepResult> results = pool.run(points);
 
   ASSERT_EQ(results.size(), points.size());
@@ -271,8 +291,7 @@ TEST(ProcessPool, CrashOnFirstAttemptOnlyRetriesThenSucceeds) {
   const std::vector<SweepPoint> points = fx.small_sweep(4);
   const std::vector<SweepResult> clean = SweepRunner(2).run(points);
 
-  const EnvGuard fault("DSSOC_FAULT_INJECT", "crash@1:1");
-  ProcessPool pool(fast_options(2, 2));
+  ProcessPool pool(2, fast_options(2, "crash@1:1"));
   const std::vector<SweepResult> results = pool.run(points);
 
   ASSERT_EQ(results.size(), points.size());
@@ -287,13 +306,27 @@ TEST(ProcessPool, CrashOnFirstAttemptOnlyRetriesThenSucceeds) {
   EXPECT_EQ(pool.accounting().worker_respawns, 1u);
 }
 
+TEST(ProcessPool, ManyRetriesKeepTheBackoffDefined) {
+  // 40 retries double the backoff 40 times; the delay must stay defined
+  // arithmetic (no int shift past 31 bits) and the point still fail cleanly.
+  Fixture fx;
+  const std::vector<SweepPoint> points = fx.small_sweep(1);
+  ProcessPoolOptions options = fast_options(40, "crash@0");
+  options.backoff_ms = 0.0;
+  ProcessPool pool(1, options);
+  const std::vector<SweepResult> results = pool.run(points);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, PointStatus::kFailed);
+  EXPECT_EQ(results[0].retries, 40);
+  EXPECT_EQ(pool.accounting().worker_respawns, 41u);
+}
+
 TEST(ProcessPool, GarbledResultFrameIsTreatedAsCrash) {
   Fixture fx;
   const std::vector<SweepPoint> points = fx.small_sweep(4);
   const std::vector<SweepResult> clean = SweepRunner(2).run(points);
 
-  const EnvGuard fault("DSSOC_FAULT_INJECT", "garble@0");
-  ProcessPool pool(fast_options(2, 1));
+  ProcessPool pool(2, fast_options(1, "garble@0"));
   const std::vector<SweepResult> results = pool.run(points);
 
   ASSERT_EQ(results.size(), points.size());
@@ -315,10 +348,9 @@ TEST(ProcessPool, HungWorkerIsKilledByTheWatchdog) {
   const std::vector<SweepPoint> points = fx.small_sweep(4);
   const std::vector<SweepResult> clean = SweepRunner(2).run(points);
 
-  const EnvGuard fault("DSSOC_FAULT_INJECT", "hang@1");
-  ProcessPoolOptions options = fast_options(2, 1);
+  ProcessPoolOptions options = fast_options(1, "hang@1");
   options.timeout_ms = 300.0;
-  ProcessPool pool(options);
+  ProcessPool pool(2, options);
   const std::vector<SweepResult> results = pool.run(points);
 
   ASSERT_EQ(results.size(), points.size());
@@ -340,7 +372,7 @@ TEST(ProcessPool, WorkerReportedEngineErrorIsContainedWithContext) {
   std::vector<SweepPoint> points = fx.small_sweep(4);
   points[2].setup.options.scheduler = "BOGUS";  // deterministic ConfigError
 
-  ProcessPool pool(fast_options(2, 1));
+  ProcessPool pool(2, fast_options(1));
   const std::vector<SweepResult> results = pool.run(points);
 
   ASSERT_EQ(results.size(), points.size());
@@ -366,7 +398,7 @@ TEST(ProcessPool, WorkerReportedEngineErrorIsContainedWithContext) {
 TEST(ProcessPool, SigtermStopsDispatchReapsWorkersAndMarksUnresolved) {
   Fixture fx;
   const std::vector<SweepPoint> points = fx.small_sweep(8);
-  ProcessPool pool(fast_options(2, 0));
+  ProcessPool pool(2, fast_options(0));
   // Raise SIGTERM from the supervisor's own result callback: the self-pipe
   // wakes the poll loop deterministically after the first collected result.
   std::size_t collected = 0;
@@ -408,8 +440,7 @@ TEST(ProcessPool, LeavesNoZombiesOrLeakedFds) {
   const std::size_t fds_before = open_fd_count();
   {
     // A run with crashes exercises the respawn path's fd hygiene too.
-    const EnvGuard fault("DSSOC_FAULT_INJECT", "crash@1:1");
-    ProcessPool pool(fast_options(3, 2));
+    ProcessPool pool(3, fast_options(2, "crash@1:1"));
     const std::vector<SweepResult> results = pool.run(points);
     ASSERT_EQ(results.size(), points.size());
   }
@@ -424,14 +455,16 @@ TEST(ProcessPool, LeavesNoZombiesOrLeakedFds) {
 
 TEST(RunSweep, FabricEnvSelectsProcAndStaysBitIdentical) {
   Fixture fx;
-  const std::vector<SweepPoint> points = fx.small_sweep(4);
+  std::vector<SweepPoint> points = fx.small_sweep(4);
+  SweepEnv env;
+  env.threads = 2;
 
-  const SweepExecution inproc = run_sweep(points, 2);
+  const SweepExecution inproc = run_sweep(points, env).execution;
   EXPECT_EQ(inproc.fabric, "inproc");
   EXPECT_EQ(inproc.width, 2);
 
-  const EnvGuard fabric("DSSOC_SWEEP_FABRIC", "proc");
-  const SweepExecution proc = run_sweep(points, 2);
+  env.fabric = "proc";
+  const SweepExecution proc = run_sweep(points, env).execution;
   EXPECT_EQ(proc.fabric, "proc");
   EXPECT_EQ(proc.width, 2);
   EXPECT_EQ(proc.worker_respawns, 0u);
@@ -445,14 +478,68 @@ TEST(RunSweep, FabricEnvSelectsProcAndStaysBitIdentical) {
   }
 }
 
+// The fields alone select the fabric and the journal: nothing is read from
+// the environment behind the caller's back.
+TEST(RunSweep, SweepEnvFieldsAreHonouredWithoutEnvironment) {
+  clear_dssoc_environment();
+  Fixture fx;
+  std::vector<SweepPoint> points = fx.small_sweep(4);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("dssoc_proc_pool_test_" + std::to_string(::getpid()) + ".journal"))
+          .string();
+  std::filesystem::remove(path);
+
+  SweepEnv env;
+  env.fabric = "proc";
+  env.threads = 2;
+  env.journal_path = path;
+  const SweepExecution first = run_sweep(points, env).execution;
+  EXPECT_EQ(first.fabric, "proc");
+  EXPECT_EQ(first.width, 2);
+  ASSERT_EQ(first.results.size(), points.size());
+  {
+    SweepJournal journal(path);
+    EXPECT_EQ(journal.recovery().records, points.size());
+  }
+
+  env.resume = true;
+  const SweepExecution second = run_sweep(points, env).execution;
+  EXPECT_TRUE(second.resumed);
+  EXPECT_EQ(second.journal_points_reused, points.size());
+  ASSERT_EQ(second.results.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    SCOPED_TRACE(points[i].label);
+    EXPECT_EQ(second.results[i].source, ResultSource::kJournal);
+    EXPECT_EQ(second.results[i].stats.digest(),
+              first.results[i].stats.digest());
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(RunSweep, FabricOffMeansInProcess) {
   const EnvGuard fabric("DSSOC_SWEEP_FABRIC", "off");
-  EXPECT_EQ(sweep_fabric_from_env(), "inproc");
+  EXPECT_EQ(SweepEnv::from_env().fabric, "inproc");
 }
 
 TEST(RunSweep, UnknownFabricValueThrows) {
-  const EnvGuard fabric("DSSOC_SWEEP_FABRIC", "cluster");
-  EXPECT_THROW(sweep_fabric_from_env(), DssocError);
+  {
+    const EnvGuard fabric("DSSOC_SWEEP_FABRIC", "cluster");
+    EXPECT_THROW(SweepEnv::from_env(), ConfigError);
+  }
+  Fixture fx;
+  std::vector<SweepPoint> points = fx.small_sweep(1);
+  SweepEnv env;
+  env.fabric = "cluster";
+  EXPECT_THROW(run_sweep(points, env), ConfigError);
+}
+
+TEST(RunSweep, WorkerFaultNeedsTheProcessFabric) {
+  Fixture fx;
+  std::vector<SweepPoint> points = fx.small_sweep(2);
+  SweepEnv env;
+  env.pool.fault = FaultPlan::parse("crash@0");
+  EXPECT_THROW(run_sweep(points, env), ConfigError);
 }
 
 TEST(RunSweep, FailureSummaryNamesTheCasualties) {
@@ -467,6 +554,84 @@ TEST(RunSweep, FailureSummaryNamesTheCasualties) {
   EXPECT_TRUE(failure_summary({}).empty());
   results[2].status = PointStatus::kOk;
   EXPECT_TRUE(failure_summary(results).empty());
+}
+
+// --- SweepEnv::from_env() ---------------------------------------------------
+
+TEST(SweepEnvParse, ReadsEveryKnob) {
+  clear_dssoc_environment();
+  const SweepEnv defaults = SweepEnv::from_env();
+  EXPECT_EQ(defaults.fabric, "inproc");
+  EXPECT_EQ(defaults.threads, 0);
+  EXPECT_FALSE(defaults.resume);
+  EXPECT_EQ(defaults.pool.max_retries, 2);
+  EXPECT_EQ(defaults.pool.timeout_ms, 0.0);
+  EXPECT_EQ(defaults.pool.backoff_ms, 25.0);
+  EXPECT_EQ(defaults.pool.fault.kind, FaultPlan::Kind::kNone);
+  EXPECT_TRUE(defaults.bench_json_path.empty());
+
+  const EnvGuard fabric("DSSOC_SWEEP_FABRIC", "proc");
+  const EnvGuard threads("DSSOC_SWEEP_THREADS", "3");
+  const EnvGuard journal("DSSOC_SWEEP_JOURNAL", "x.journal");
+  const EnvGuard resume("DSSOC_SWEEP_RESUME", "1");
+  const EnvGuard retries("DSSOC_SWEEP_RETRIES", "0");
+  const EnvGuard timeout("DSSOC_SWEEP_TIMEOUT_MS", "250.5");
+  const EnvGuard backoff("DSSOC_SWEEP_BACKOFF_MS", "0");
+  const EnvGuard fault("DSSOC_FAULT_INJECT", "crash@7");
+  const EnvGuard bench("DSSOC_BENCH_JSON", "out.json");
+  const SweepEnv env = SweepEnv::from_env();
+  EXPECT_EQ(env.fabric, "proc");
+  EXPECT_EQ(env.threads, 3);
+  EXPECT_EQ(env.journal_path, "x.journal");
+  EXPECT_TRUE(env.resume);
+  EXPECT_EQ(env.pool.max_retries, 0);
+  EXPECT_EQ(env.pool.timeout_ms, 250.5);
+  EXPECT_EQ(env.pool.backoff_ms, 0.0);
+  EXPECT_EQ(env.pool.fault.kind, FaultPlan::Kind::kCrash);
+  EXPECT_EQ(env.pool.fault.point, 7u);
+  EXPECT_EQ(env.bench_json_path, "out.json");
+}
+
+TEST(SweepEnvParse, MalformedValuesThrowNamingTheVariable) {
+  clear_dssoc_environment();
+  const std::pair<const char*, const char*> cases[] = {
+      {"DSSOC_SWEEP_RESUME", "yes"},      {"DSSOC_SWEEP_THREADS", "abc"},
+      {"DSSOC_SWEEP_THREADS", "4x"},      {"DSSOC_SWEEP_THREADS", "-2"},
+      {"DSSOC_SWEEP_RETRIES", "abc"},     {"DSSOC_SWEEP_TIMEOUT_MS", "abc"},
+      {"DSSOC_SWEEP_BACKOFF_MS", "-1"},   {"DSSOC_SWEEP_TIMEOUT_MS", "nan"},
+      {"DSSOC_SWEEP_TIMEOUT_MS", "inf"},
+      {"DSSOC_SWEEP_FABRIC", "cluster"},  {"DSSOC_FAULT_INJECT", "boom@x"},
+  };
+  for (const auto& [name, value] : cases) {
+    SCOPED_TRACE(cat(name, "=", value));
+    const EnvGuard guard(name, value);
+    try {
+      SweepEnv::from_env();
+      ADD_FAILURE() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SweepEnvParse, UnknownSweepNamesThrowListingTheKnownOnes) {
+  clear_dssoc_environment();
+  for (const char* name : {"DSSOC_SWEEP_PROCS", "DSSOC_SWEEP_THREAD"}) {
+    SCOPED_TRACE(name);
+    const EnvGuard guard(name, "2");
+    try {
+      SweepEnv::from_env();
+      ADD_FAILURE() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+      EXPECT_NE(message.find("DSSOC_SWEEP_THREADS"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find("DSSOC_SWEEP_BACKOFF_MS"), std::string::npos)
+          << message;
+    }
+  }
 }
 
 }  // namespace
